@@ -26,12 +26,14 @@ race:
 	$(GO) test -race ./internal/core/ ./internal/netsim/ ./internal/pipeline/ ./internal/bgp/ ./internal/topology/ ./internal/store/ ./internal/api/ ./internal/stream/ ./internal/rtr/
 
 # Short fuzzing passes over the parsers/state machines fuzz has the best
-# shot at: the TCP endpoint's segment handling, the prefix-interning
-# table's LPM invariants, and the campaign scheduler's exact-restoration
-# invariant under arbitrary overlapping attack windows. Each target needs
-# its own invocation (go test accepts one -fuzz pattern at a time).
+# shot at: the TCP endpoint's segment handling, the RTR PDU decoder every
+# peer's bytes reach, the prefix-interning table's LPM invariants, and the
+# campaign scheduler's exact-restoration invariant under arbitrary
+# overlapping attack windows. Each target needs its own invocation (go test
+# accepts one -fuzz pattern at a time).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHandleSegment -fuzztime 5s ./internal/tcpsim/
+	$(GO) test -run '^$$' -fuzz FuzzReadPDU -fuzztime 5s ./internal/rtr/
 	$(GO) test -run '^$$' -fuzz FuzzPrefixTable -fuzztime 5s ./internal/bgp/
 	$(GO) test -run '^$$' -fuzz FuzzCampaignSchedule -fuzztime 5s ./internal/campaign/
 

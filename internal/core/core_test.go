@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/netsec-lab/rovista/internal/inet"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/netsec-lab/rovista/internal/ipid"
@@ -57,6 +58,28 @@ func TestAdvanceToValidatesRPKI(t *testing.T) {
 			if got := w.VRPs.Validate(inv.Prefix, inv.Victim); got != rpki.Valid {
 				t.Fatalf("shared victim's announcement of %v validates as %v", inv.Prefix, got)
 			}
+		}
+	}
+}
+
+// TestAdvanceToSharedRelyingPartyMatchesFresh: the relying party the world
+// keeps across AdvanceTo calls, with its memo of verified signatures,
+// yields byte-identical VRPs at every day to a fresh relying party run on
+// the same repositories.
+func TestAdvanceToSharedRelyingPartyMatchesFresh(t *testing.T) {
+	w := buildSmall(t, 4)
+	repos := make([]*rpki.Repository, 0, len(w.Authorities))
+	for _, r := range rpki.AllRIRs {
+		repos = append(repos, w.Authorities[r].Repo)
+	}
+	for day := 0; day <= w.Cfg.Days; day++ {
+		if err := w.AdvanceTo(day); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := (&rpki.RelyingParty{Day: day}).Validate(repos)
+		got, want := w.VRPs.All(), fresh.All()
+		if !slices.Equal(got, want) {
+			t.Fatalf("day %d: shared relying party gave %d VRPs, fresh %d", day, len(got), len(want))
 		}
 	}
 }

@@ -27,8 +27,9 @@ func (w *World) AddLink(a, b inet.ASN, rel bgp.Relationship) error {
 	return err
 }
 
-// AdvanceTo moves the world to the given day. The relying party re-validates
-// the repositories and every validating AS receives its (possibly
+// AdvanceTo moves the world to the given day. The world's one relying party
+// re-validates the repositories (verifying only signatures it has not seen
+// on the previous advance) and every validating AS receives its (possibly
 // SLURM-filtered) view of the day's VRPs; then, instead of re-converging
 // every schedule participant, the day transition is diffed against the last
 // advanced day and only the actual changes — ROV deployments or rollbacks,
@@ -45,12 +46,12 @@ func (w *World) AdvanceTo(day int) error {
 	w.Day = day
 
 	// Relying-party validation at this day.
-	rp := &rpki.RelyingParty{Day: day}
 	repos := make([]*rpki.Repository, 0, len(w.Authorities))
 	for _, r := range rpki.AllRIRs {
 		repos = append(repos, w.Authorities[r].Repo)
 	}
-	vrps, _ := rp.Validate(repos)
+	w.rp.Day = day
+	vrps, _ := w.rp.Validate(repos)
 	w.VRPs = vrps
 
 	var events []bgp.RouteEvent

@@ -247,6 +247,10 @@ type World struct {
 
 	Authorities map[rpki.RIR]*rpki.Authority
 	VRPs        *rpki.VRPSet
+	// rp is the relying party AdvanceTo re-runs every day. It persists so
+	// its memo of verified signatures spares the unchanged objects' Ed25519
+	// checks on each day advance.
+	rp rpki.RelyingParty
 
 	Truth    map[inet.ASN]*Truth
 	Invalids []InvalidAnn

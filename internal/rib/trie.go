@@ -167,26 +167,36 @@ func (t *Trie[V]) Lookup(a netip.Addr) (netip.Prefix, V, bool) {
 // i.e. is equal to or less specific than p. Results are ordered from least
 // to most specific.
 func (t *Trie[V]) Covering(p netip.Prefix) []Entry[V] {
+	var out []Entry[V]
+	t.VisitCovering(p, func(bits int, v V) bool {
+		cp, _ := p.Addr().Prefix(bits)
+		out = append(out, Entry[V]{Prefix: cp, Value: v})
+		return true
+	})
+	return out
+}
+
+// VisitCovering calls fn with the length and value of every stored prefix
+// covering p, from least to most specific, until fn returns false. It
+// walks the covering path in place and allocates nothing.
+func (t *Trie[V]) VisitCovering(p netip.Prefix, fn func(bits int, v V) bool) {
 	addr, plen, err := checkPrefix(p.Masked())
 	if err != nil {
-		return nil
+		return
 	}
-	var out []Entry[V]
 	n := t.root
 	for i := 0; ; i++ {
-		if n.set {
-			cp, _ := p.Addr().Prefix(i)
-			out = append(out, Entry[V]{Prefix: cp, Value: n.val})
+		if n.set && !fn(i, n.val) {
+			return
 		}
 		if i == plen {
-			break
+			return
 		}
 		n = n.child[bit(addr, i)]
 		if n == nil {
-			break
+			return
 		}
 	}
-	return out
 }
 
 // CoveredBy returns every stored (prefix, value) equal to or more specific

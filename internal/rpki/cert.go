@@ -144,37 +144,37 @@ type Certificate struct {
 	Signature     []byte
 }
 
-// encodeTBS produces the deterministic "to-be-signed" byte encoding.
-func (c *Certificate) encodeTBS() []byte {
-	var b bytes.Buffer
-	writeStr(&b, "CERT")
-	writeStr(&b, c.Subject)
-	binary.Write(&b, binary.BigEndian, c.Serial)
-	binary.Write(&b, binary.BigEndian, int64(c.NotBefore))
-	binary.Write(&b, binary.BigEndian, int64(c.NotAfter))
-	writeStr(&b, c.IssuerSubject)
-	b.Write(c.PublicKey)
-	binary.Write(&b, binary.BigEndian, uint32(len(c.Resources.Prefixes)))
+// appendTBS appends the deterministic "to-be-signed" byte encoding to b.
+func (c *Certificate) appendTBS(b []byte) []byte {
+	b = appendStr(b, "CERT")
+	b = appendStr(b, c.Subject)
+	b = binary.BigEndian.AppendUint64(b, c.Serial)
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(c.NotBefore)))
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(c.NotAfter)))
+	b = appendStr(b, c.IssuerSubject)
+	b = append(b, c.PublicKey...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(c.Resources.Prefixes)))
 	for _, p := range c.Resources.Prefixes {
-		writePrefix(&b, p)
+		b = appendPrefix(b, p)
 	}
-	binary.Write(&b, binary.BigEndian, uint32(len(c.Resources.ASNs)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(c.Resources.ASNs)))
 	for _, r := range c.Resources.ASNs {
-		binary.Write(&b, binary.BigEndian, uint32(r.Lo))
-		binary.Write(&b, binary.BigEndian, uint32(r.Hi))
+		b = binary.BigEndian.AppendUint32(b, uint32(r.Lo))
+		b = binary.BigEndian.AppendUint32(b, uint32(r.Hi))
 	}
-	return b.Bytes()
+	return b
 }
 
-func writeStr(b *bytes.Buffer, s string) {
-	binary.Write(b, binary.BigEndian, uint32(len(s)))
-	b.WriteString(s)
+func (c *Certificate) signature() []byte { return c.Signature }
+
+func appendStr(b []byte, s string) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
+	return append(b, s...)
 }
 
-func writePrefix(b *bytes.Buffer, p netip.Prefix) {
+func appendPrefix(b []byte, p netip.Prefix) []byte {
 	a := p.Masked().Addr().As4()
-	b.Write(a[:])
-	b.WriteByte(byte(p.Bits()))
+	return append(append(b, a[:]...), byte(p.Bits()))
 }
 
 // SignCertificate signs cert with the issuer's key, recording the issuer
@@ -182,12 +182,12 @@ func writePrefix(b *bytes.Buffer, p netip.Prefix) {
 // subject and key.
 func SignCertificate(cert *Certificate, issuerSubject string, issuerKey *KeyPair) {
 	cert.IssuerSubject = issuerSubject
-	cert.Signature = issuerKey.Sign(cert.encodeTBS())
+	cert.Signature = issuerKey.Sign(cert.appendTBS(nil))
 }
 
 // VerifySignature checks cert's signature against the issuer public key.
 func (c *Certificate) VerifySignature(issuerPub ed25519.PublicKey) bool {
-	return ed25519.Verify(issuerPub, c.encodeTBS(), c.Signature)
+	return verify(issuerPub, c.appendTBS(nil), c.Signature)
 }
 
 // ValidAt reports whether day falls inside the certificate validity window.

@@ -1,8 +1,9 @@
 package rpki
 
 import (
+	"crypto/ed25519"
+	"encoding/binary"
 	"fmt"
-	"net/netip"
 
 	"github.com/netsec-lab/rovista/internal/inet"
 )
@@ -114,14 +115,24 @@ func (e ValidationError) Error() string { return fmt.Sprintf("%s: %s", e.Object,
 // RelyingParty fetches and cryptographically validates repository contents,
 // producing the VRP set routers consume (the role Routinator plays in the
 // paper's measurement loop).
+//
+// A RelyingParty reused across passes remembers which signatures it has
+// already verified (see sigMemo), so a daily re-validation of an unchanged
+// repository skips the Ed25519 work; every other check runs on every pass.
+// The zero value is ready to use and starts cold. A RelyingParty is not safe
+// for concurrent use.
 type RelyingParty struct {
 	// Day is the simulation day at which validity windows are evaluated.
 	Day int
+
+	memo sigMemo
 }
 
 // Validate processes the given repositories and returns the resulting VRP
 // set plus any per-object validation errors.
 func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationError) {
+	rp.memo.begin()
+	defer rp.memo.end()
 	var errs []ValidationError
 	var vrps []VRP
 	for _, repo := range repos {
@@ -130,7 +141,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 			errs = append(errs, ValidationError{repo.RIR.String(), "missing trust anchor"})
 			continue
 		}
-		if !ta.VerifySignature(ta.PublicKey) {
+		if !rp.memo.verify(ta.PublicKey, ta) {
 			errs = append(errs, ValidationError{ta.Subject, "trust anchor self-signature invalid"})
 			continue
 		}
@@ -153,7 +164,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 				}
 				progress = true
 				switch {
-				case !c.VerifySignature(issuer.PublicKey):
+				case !rp.memo.verify(issuer.PublicKey, c):
 					errs = append(errs, ValidationError{c.Subject, "bad signature"})
 				case !c.ValidAt(rp.Day):
 					errs = append(errs, ValidationError{c.Subject, "outside validity window"})
@@ -178,7 +189,7 @@ func (rp *RelyingParty) Validate(repos []*Repository) (*VRPSet, []ValidationErro
 			switch {
 			case !roa.wellFormed():
 				errs = append(errs, ValidationError{roaName(roa), "malformed (RFC 6482)"})
-			case !roa.VerifySignature(signer.PublicKey):
+			case !rp.memo.verify(signer.PublicKey, roa):
 				errs = append(errs, ValidationError{roaName(roa), "bad signature"})
 			case !roa.ValidAt(rp.Day):
 				errs = append(errs, ValidationError{roaName(roa), "outside validity window"})
@@ -201,5 +212,72 @@ func roaName(r *ROA) string {
 	return fmt.Sprintf("ROA(empty->%v)", r.ASID)
 }
 
-// Ensure netip is referenced (prefix type used across the API).
-var _ = netip.Prefix{}
+// signedObject is an RPKI object carrying an Ed25519 signature over its
+// to-be-signed encoding.
+type signedObject interface {
+	appendTBS(b []byte) []byte
+	signature() []byte
+}
+
+func verify(pub, msg, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
+}
+
+// sigMemo remembers the outcome of Ed25519 verifications across Validate
+// passes. Only that outcome is memoized: verify is a pure function of its
+// bytes, so an entry is keyed on exactly those bytes — the issuer public
+// key, the signature and the object's to-be-signed encoding, each of the
+// first two length-prefixed — and never on an object's identity, subject
+// or serial. A re-issued or tampered object therefore misses and is
+// verified afresh. Each pass keeps only the entries it used, so the memo
+// tracks the live repository and revoked objects fall out.
+type sigMemo struct {
+	seen map[string]*sigEntry
+	pass uint64
+	key  []byte // scratch buffer for the lookup key
+}
+
+type sigEntry struct {
+	ok   bool
+	pass uint64 // the last pass that used the entry
+}
+
+// keyOf builds obj's memo key under pub into the scratch buffer and returns
+// it along with the to-be-signed encoding, a suffix of the key.
+func (m *sigMemo) keyOf(pub []byte, obj signedObject) (key, tbs []byte) {
+	sig := obj.signature()
+	k := binary.AppendUvarint(m.key[:0], uint64(len(pub)))
+	k = append(k, pub...)
+	k = binary.AppendUvarint(k, uint64(len(sig)))
+	k = append(k, sig...)
+	head := len(k)
+	m.key = obj.appendTBS(k)
+	return m.key, m.key[head:]
+}
+
+// verify reports whether obj's signature verifies under pub, consulting
+// the memo first.
+func (m *sigMemo) verify(pub []byte, obj signedObject) bool {
+	key, tbs := m.keyOf(pub, obj)
+	if e := m.seen[string(key)]; e != nil {
+		e.pass = m.pass
+		return e.ok
+	}
+	ok := verify(pub, tbs, obj.signature())
+	if m.seen == nil {
+		m.seen = make(map[string]*sigEntry)
+	}
+	m.seen[string(key)] = &sigEntry{ok: ok, pass: m.pass}
+	return ok
+}
+
+func (m *sigMemo) begin() { m.pass++ }
+
+// end drops every entry the finished pass did not use.
+func (m *sigMemo) end() {
+	for k, e := range m.seen {
+		if e.pass != m.pass {
+			delete(m.seen, k)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package rpki
 
 import (
-	"bytes"
 	"encoding/binary"
 	"net/netip"
 
@@ -30,30 +29,31 @@ type ROA struct {
 	Signature     []byte
 }
 
-func (r *ROA) encodeTBS() []byte {
-	var b bytes.Buffer
-	writeStr(&b, "ROA")
-	binary.Write(&b, binary.BigEndian, uint32(r.ASID))
-	binary.Write(&b, binary.BigEndian, int64(r.NotBefore))
-	binary.Write(&b, binary.BigEndian, int64(r.NotAfter))
-	writeStr(&b, r.SignerSubject)
-	binary.Write(&b, binary.BigEndian, uint32(len(r.Prefixes)))
+// appendTBS appends the deterministic "to-be-signed" byte encoding to b.
+func (r *ROA) appendTBS(b []byte) []byte {
+	b = appendStr(b, "ROA")
+	b = binary.BigEndian.AppendUint32(b, uint32(r.ASID))
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.NotBefore)))
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(r.NotAfter)))
+	b = appendStr(b, r.SignerSubject)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Prefixes)))
 	for _, p := range r.Prefixes {
-		writePrefix(&b, p.Prefix)
-		b.WriteByte(byte(p.MaxLength))
+		b = append(appendPrefix(b, p.Prefix), byte(p.MaxLength))
 	}
-	return b.Bytes()
+	return b
 }
+
+func (r *ROA) signature() []byte { return r.Signature }
 
 // SignROA signs the ROA with the CA's key.
 func SignROA(r *ROA, signerSubject string, key *KeyPair) {
 	r.SignerSubject = signerSubject
-	r.Signature = key.Sign(r.encodeTBS())
+	r.Signature = key.Sign(r.appendTBS(nil))
 }
 
 // VerifySignature checks the ROA signature against the signer's public key.
 func (r *ROA) VerifySignature(pub []byte) bool {
-	return len(pub) == 32 && verify(pub, r.encodeTBS(), r.Signature)
+	return verify(pub, r.appendTBS(nil), r.Signature)
 }
 
 // ValidAt reports whether day falls inside the ROA's validity window.

@@ -1,7 +1,6 @@
 package rpki
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -9,10 +8,6 @@ import (
 	"github.com/netsec-lab/rovista/internal/inet"
 	"github.com/netsec-lab/rovista/internal/rib"
 )
-
-func verify(pub, msg, sig []byte) bool {
-	return ed25519.Verify(ed25519.PublicKey(pub), msg, sig)
-}
 
 // VRP is a Validated ROA Payload: the (ASN, prefix, max length) tuple the
 // relying party hands to routers.
@@ -100,32 +95,32 @@ func (s *VRPSet) All() []VRP {
 	return out
 }
 
-// Covering returns all VRPs whose prefix covers p.
-func (s *VRPSet) Covering(p netip.Prefix) []VRP {
-	var out []VRP
-	for _, e := range s.trie.Covering(p) {
-		out = append(out, e.Value...)
-	}
-	return out
-}
-
 // Validate implements RFC 6811 origin validation for an announcement of
-// prefix p originated by origin.
+// prefix p originated by origin. It runs at BGP import for every
+// announcement a validating AS hears, so it walks the trie's covering path
+// in place and allocates nothing.
 func (s *VRPSet) Validate(p netip.Prefix, origin inet.ASN) Validity {
-	covering := s.Covering(p)
-	if len(covering) == 0 {
-		return NotFound
-	}
-	for _, v := range covering {
-		if v.ASN == origin && p.Bits() <= v.MaxLength {
-			return Valid
+	out := NotFound
+	s.trie.VisitCovering(p, func(_ int, vs []VRP) bool {
+		for _, v := range vs {
+			if v.ASN == origin && p.Bits() <= v.MaxLength {
+				out = Valid
+				return false
+			}
+			out = Invalid
 		}
-	}
-	return Invalid
+		return true
+	})
+	return out
 }
 
 // CoversPrefix reports whether any VRP covers p (i.e. validation would not
 // return NotFound).
 func (s *VRPSet) CoversPrefix(p netip.Prefix) bool {
-	return len(s.Covering(p)) > 0
+	covered := false
+	s.trie.VisitCovering(p, func(_ int, vs []VRP) bool {
+		covered = len(vs) > 0
+		return !covered
+	})
+	return covered
 }

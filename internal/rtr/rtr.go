@@ -220,15 +220,18 @@ func ReadPDU(r io.Reader) (*PDU, error) {
 		if len(body) < 8 {
 			return nil, ErrBadLength
 		}
-		encLen := binary.BigEndian.Uint32(body)
-		if int(8+encLen) > len(body) {
+		// Both lengths come off the wire: bound each by what is left of
+		// the body before adding them, so no sum can wrap.
+		encLen := uint64(binary.BigEndian.Uint32(body))
+		if encLen > uint64(len(body)-8) {
 			return nil, ErrBadLength
 		}
-		textLen := binary.BigEndian.Uint32(body[4+encLen:])
-		if int(8+encLen+textLen) > len(body) {
+		text := body[4+encLen:]
+		textLen := uint64(binary.BigEndian.Uint32(text))
+		if textLen > uint64(len(text)-4) {
 			return nil, ErrBadLength
 		}
-		p.Text = string(body[8+encLen : 8+encLen+textLen])
+		p.Text = string(text[4 : 4+textLen])
 	default:
 		return nil, fmt.Errorf("rtr: unsupported PDU type %v", p.Type)
 	}

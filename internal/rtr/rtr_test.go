@@ -2,8 +2,10 @@ package rtr
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -88,6 +90,32 @@ func TestReadPDUBadLength(t *testing.T) {
 	b[7] = 200 // claim a huge body
 	if _, err := ReadPDU(bytes.NewReader(b)); err == nil {
 		t.Fatal("bad length accepted")
+	}
+}
+
+// errorReportLengthWrap is an Error Report PDU whose encapsulated-PDU
+// length (0xfffffffb) wraps a 32-bit offset sum back inside its 12-byte
+// body; decoding it once sliced out of range and panicked.
+const errorReportLengthWrap = "0\n00\x00\x00\x00\x14\xff\xff\xff\xfb00000000"
+
+func TestReadPDUErrorReportLengthWrap(t *testing.T) {
+	if _, err := ReadPDU(strings.NewReader(errorReportLengthWrap)); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("ReadPDU = %v, want ErrBadLength", err)
+	}
+}
+
+func TestReadPDUErrorReportText(t *testing.T) {
+	// An encapsulated PDU ahead of the text must be skipped, and a text
+	// length overrunning the body rejected.
+	b := []byte{Version, byte(TypeErrorReport), 0, 1, 0, 0, 0, 26, 0, 0, 0, 2, 0xaa, 0xbb, 0, 0, 0, 4, 'o', 'o', 'p', 's', 0, 0}
+	b[7] = byte(len(b))
+	p, err := ReadPDU(bytes.NewReader(b))
+	if err != nil || p.Text != "oops" || p.Session != 1 {
+		t.Fatalf("ReadPDU = %+v, %v; want text %q", p, err, "oops")
+	}
+	b[17] = 7 // text length 7 with only 6 bytes left
+	if _, err := ReadPDU(bytes.NewReader(b)); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("overlong text: ReadPDU = %v, want ErrBadLength", err)
 	}
 }
 
